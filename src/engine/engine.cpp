@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <type_traits>
 
 #include "src/core/weight_offsets.h"
 #include "src/gmas/autotune.h"
@@ -157,37 +158,142 @@ void RoundFeaturesToHalf(FeatureMatrix& features) {
   }
 }
 
-// Charges coordinate generation of a generative conv: K^3 |P| dilated
-// candidates deduplicated (sorted engines: one big sort + unique; hash
-// engines: insert-with-duplicate-checks). Approximated as the sorted-engine
-// sort over the candidate count or a hash pass of the same volume.
-KernelStats ChargeDilationDedup(Device& device, std::span<const uint64_t> input_keys,
-                                size_t num_offsets, int64_t num_unique, bool sorted_engine) {
+// One coordinate level. `make_sorted()` returns either its coordinates or
+// its packed keys, sorted by key (the library invariant); the other array is
+// derived here. The level is allocated before its arrays: with
+// deterministic_addressing the cache model numbers granules by first touch,
+// so host allocation order is part of what a run simulates.
+template <typename MakeSorted>
+LevelPtr MakeLevel(int32_t tensor_stride, LevelPtr parent, MakeSorted&& make_sorted) {
+  auto level = std::make_shared<CoordLevel>();
+  level->tensor_stride = tensor_stride;
+  if constexpr (std::is_same_v<decltype(make_sorted()), std::vector<uint64_t>>) {
+    level->keys = make_sorted();
+    level->coords.resize(level->keys.size());
+    std::transform(level->keys.begin(), level->keys.end(), level->coords.begin(), UnpackCoord);
+  } else {
+    level->coords = make_sorted();
+    level->keys = PackCoords(level->coords);
+  }
+  level->parent = std::move(parent);
+  return level;
+}
+
+// How a layer obtains its output coordinates: the input level itself (or, for
+// a transposed conv, its parent), or a fresh level that must be deduplicated.
+enum class CoordGen { kReuse, kDownsample, kDilate };
+
+struct LayerCoords {
+  LevelPtr out;
+  std::vector<Coord3> weight_offsets;
+  // What the Map step queries: the weight offsets, mirrored for a transposed
+  // conv. Kernel-map rows keep the weight order either way.
+  std::vector<Coord3> query_offsets;
+  CoordGen gen = CoordGen::kReuse;
+};
+
+bool IsPointwise(const ConvParams& conv) {
+  return conv.kernel_size == 1 && conv.stride == 1 && !conv.transposed;
+}
+
+// The coordinate flow of one conv or pooling layer, on the host only:
+// same-level, strided (Eq. 1), generative (dilated) and transposed (back to
+// the parent level) outputs. Kernels that the generation costs are charged
+// separately by ChargeCoordDedup.
+LayerCoords ResolveLayerCoords(const LevelPtr& in, const ConvParams& conv) {
+  // Check the parent before deriving offsets: a transposed conv with no
+  // encoder level would otherwise die on tensor_stride / stride == 0 with an
+  // unrelated message.
+  if (conv.transposed) {
+    MINUET_CHECK(in->parent != nullptr) << "transposed conv without a matching encoder level";
+  }
+  LayerCoords layer;
+  layer.weight_offsets = MakeWeightOffsets(
+      conv.kernel_size, conv.transposed ? in->tensor_stride / conv.stride : in->tensor_stride);
+  layer.query_offsets = layer.weight_offsets;
+  if (conv.transposed) {
+    // Transposed map: entry (p, q, d) when q = p + d, i.e. the normal builder
+    // with mirrored offsets.
+    layer.out = in->parent;
+    for (Coord3& d : layer.query_offsets) {
+      d = Coord3{-d.x, -d.y, -d.z};
+    }
+  } else if (conv.generative) {
+    MINUET_CHECK_EQ(conv.stride, 1) << "generative convs must have stride 1";
+    layer.out = MakeLevel(in->tensor_stride, in,
+                          [&] { return DilateCoords(in->coords, layer.weight_offsets); });
+    layer.gen = CoordGen::kDilate;
+  } else if (conv.stride > 1) {
+    const int32_t step = in->tensor_stride * conv.stride;
+    layer.out = MakeLevel(step, in, [&] { return DownsampleCoords(in->coords, step); });
+    layer.gen = CoordGen::kDownsample;
+  } else {
+    layer.out = in;
+  }
+  return layer;
+}
+
+// Charges the kernels behind a fresh output level (ResolveLayerCoords
+// computes the functional result). Candidates first: a strided layer
+// floor-snaps its |P| inputs, a generative conv emits K^3 |P| dilated
+// candidates. Then the dedup Eq. 1 requires: sorted engines sort and compact
+// adjacent runs; hash engines insert every candidate (duplicates probe and
+// bail), modelled as a cuckoo build over the unique set plus a probe pass
+// over all candidates.
+KernelStats ChargeCoordDedup(Device& device, const CoordLevel& in, const LayerCoords& layer,
+                             bool sorted_engine) {
   KernelStats stats;
-  const int64_t n = static_cast<int64_t>(input_keys.size() * num_offsets);
-  if (n == 0) {
+  const bool dilate = layer.gen == CoordGen::kDilate;
+  const std::span<const uint64_t> input_keys = in.keys;
+  const int64_t n =
+      static_cast<int64_t>(input_keys.size() * (dilate ? layer.weight_offsets.size() : 1));
+  if (layer.gen == CoordGen::kReuse || n == 0) {
     return stats;
   }
   std::vector<uint64_t> candidates(static_cast<size_t>(n));
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    candidates[i] = input_keys[i % input_keys.size()] + (i / input_keys.size());
-  }
   constexpr int64_t kItemsPerBlock = 1024;
   const int64_t blocks = (n + kItemsPerBlock - 1) / kItemsPerBlock;
-  static const KernelId kDilateCandidates = KernelId::Intern("engine/coords/dilate_candidates");
-  stats += device.Launch(kDilateCandidates, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
-    int64_t begin = ctx.block_index() * kItemsPerBlock;
-    int64_t end = std::min(begin + kItemsPerBlock, n);
-    ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
-                   static_cast<size_t>(end - begin) * sizeof(uint64_t));
-    ctx.Compute(static_cast<uint64_t>(end - begin) * 4);
-    ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
-                    static_cast<size_t>(end - begin) * sizeof(uint64_t));
-  });
+  if (dilate) {
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      candidates[i] = input_keys[i % input_keys.size()] + (i / input_keys.size());
+    }
+    static const KernelId kDilateCandidates = KernelId::Intern("engine/coords/dilate_candidates");
+    stats += device.Launch(kDilateCandidates, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+      int64_t begin = ctx.block_index() * kItemsPerBlock;
+      int64_t end = std::min(begin + kItemsPerBlock, n);
+      ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
+                     static_cast<size_t>(end - begin) * sizeof(uint64_t));
+      ctx.Compute(static_cast<uint64_t>(end - begin) * 4);
+      ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
+                      static_cast<size_t>(end - begin) * sizeof(uint64_t));
+    });
+  } else {
+    const int32_t step = layer.out->tensor_stride;
+    static const KernelId kDownsampleCandidates =
+        KernelId::Intern("engine/coords/downsample_candidates");
+    stats += device.Launch(kDownsampleCandidates, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+      int64_t begin = ctx.block_index() * kItemsPerBlock;
+      int64_t end = std::min(begin + kItemsPerBlock, n);
+      ctx.GlobalRead(&input_keys[static_cast<size_t>(begin)],
+                     static_cast<size_t>(end - begin) * sizeof(uint64_t));
+      for (int64_t i = begin; i < end; ++i) {
+        Coord3 c = UnpackCoord(input_keys[static_cast<size_t>(i)]);
+        candidates[static_cast<size_t>(i)] =
+            PackCoord(Coord3{FloorDiv(c.x, step) * step, FloorDiv(c.y, step) * step,
+                             FloorDiv(c.z, step) * step});
+      }
+      ctx.Compute(static_cast<uint64_t>(end - begin) * 6);
+      ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
+                      static_cast<size_t>(end - begin) * sizeof(uint64_t));
+    });
+  }
+
   if (sorted_engine) {
     stats += RadixSortCoordPairs(device, candidates, {}).kernels;
-    static const KernelId kDilateUnique = KernelId::Intern("engine/coords/dilate_unique");
-    stats += device.Launch(kDilateUnique, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
+    const int64_t num_unique = layer.out->size();
+    const KernelId unique = KernelId::Intern(dilate ? "engine/coords/dilate_unique"
+                                                    : "engine/coords/downsample_unique");
+    stats += device.Launch(unique, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
       int64_t begin = ctx.block_index() * kItemsPerBlock;
       int64_t end = std::min(begin + kItemsPerBlock, n);
       ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
@@ -209,66 +315,30 @@ KernelStats ChargeDilationDedup(Device& device, std::span<const uint64_t> input_
   return stats;
 }
 
-// Charges the coordinate-deduplication work that a strided layer's output
-// generation costs (Eq. 1 removes duplicates). Minuet sorts the |P|
-// downsampled candidates and compacts runs; hash engines insert the
-// candidates into a fresh table and compact it. The functional result comes
-// from DownsampleCoords; this accounts for the kernels behind it.
-KernelStats ChargeDownsampleDedup(Device& device, std::span<const uint64_t> input_keys,
-                                  int32_t step, int64_t num_unique, bool sorted_engine) {
-  KernelStats stats;
-  const int64_t n = static_cast<int64_t>(input_keys.size());
-  if (n == 0) {
-    return stats;
-  }
-  // Candidate generation: floor-snap every input coordinate.
-  std::vector<uint64_t> candidates(static_cast<size_t>(n));
-  constexpr int64_t kItemsPerBlock = 1024;
-  const int64_t blocks = (n + kItemsPerBlock - 1) / kItemsPerBlock;
-  static const KernelId kDownsampleCandidates = KernelId::Intern("engine/coords/downsample_candidates");
-  stats += device.Launch(kDownsampleCandidates, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
-    int64_t begin = ctx.block_index() * kItemsPerBlock;
-    int64_t end = std::min(begin + kItemsPerBlock, n);
-    ctx.GlobalRead(&input_keys[static_cast<size_t>(begin)],
-                   static_cast<size_t>(end - begin) * sizeof(uint64_t));
-    for (int64_t i = begin; i < end; ++i) {
-      Coord3 c = UnpackCoord(input_keys[static_cast<size_t>(i)]);
-      candidates[static_cast<size_t>(i)] =
-          PackCoord(Coord3{FloorDiv(c.x, step) * step, FloorDiv(c.y, step) * step,
-                           FloorDiv(c.z, step) * step});
-    }
-    ctx.Compute(static_cast<uint64_t>(end - begin) * 6);
-    ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
-                    static_cast<size_t>(end - begin) * sizeof(uint64_t));
-  });
+bool UsesSortedMap(const EngineConfig& config) {
+  return config.kind == EngineKind::kMinuet && config.features.segmented_sorting;
+}
 
-  if (sorted_engine) {
-    // Sort + adjacent-unique compaction.
-    stats += RadixSortCoordPairs(device, candidates, {}).kernels;
-    static const KernelId kDownsampleUnique = KernelId::Intern("engine/coords/downsample_unique");
-    stats += device.Launch(kDownsampleUnique, LaunchDims{blocks, 128, 0}, [&](BlockCtx& ctx) {
-      int64_t begin = ctx.block_index() * kItemsPerBlock;
-      int64_t end = std::min(begin + kItemsPerBlock, n);
-      ctx.GlobalRead(&candidates[static_cast<size_t>(begin)],
-                     static_cast<size_t>(end - begin) * sizeof(uint64_t));
-      ctx.Compute(static_cast<uint64_t>(end - begin));
-      int64_t share = num_unique * (end - begin) / n;
-      ctx.GlobalWrite(&candidates[static_cast<size_t>(begin)],
-                      static_cast<size_t>(share) * sizeof(uint64_t));
-    });
-  } else {
-    // Hash-based dedup: insert every candidate (duplicates probe and bail),
-    // then compact the table. Modelled as a build over the unique set plus a
-    // probe pass over all candidates.
-    std::vector<uint64_t> unique = candidates;
-    std::sort(unique.begin(), unique.end());
-    unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-    std::unique_ptr<HashTableBase> table;
-    stats += BuildEngineHashTable(device, HashTableKind::kCuckoo, unique, &table);
-    std::vector<uint32_t> results(candidates.size());
-    stats += table->Query(device, candidates, results);
+// The Map step of one layer with the engine's map builder: Minuet's sorted
+// arrays (Section 5.1), or the baselines' hash tables.
+MapBuildResult BuildLayerMap(Device& device, const EngineConfig& config, const CoordLevel& in,
+                             const CoordLevel& out, std::span<const Coord3> offsets) {
+  MapBuildInput map_in;
+  map_in.source_keys = in.keys;
+  map_in.output_keys = out.keys;
+  map_in.offsets = offsets;
+  map_in.source_sorted = true;
+  map_in.output_sorted = true;
+  if (UsesSortedMap(config)) {
+    MinuetMapConfig map_cfg;
+    map_cfg.source_block_size = config.map_source_block;
+    map_cfg.query_block_size = config.map_query_block;
+    map_cfg.double_traversal = config.features.double_traversal;
+    return MinuetMapBuilder(map_cfg).Build(device, map_in);
   }
-  return stats;
+  return HashMapBuilder(config.kind == EngineKind::kMinkowski ? HashTableKind::kLinearProbe
+                                                              : HashTableKind::kCuckoo)
+      .Build(device, map_in);
 }
 
 }  // namespace
@@ -357,96 +427,47 @@ double Engine::Autotune(std::span<const PointCloud> samples) {
   std::vector<std::map<int, double>> gather_profiles(conv_weights_.size());
   std::vector<std::map<int, double>> scatter_profiles(conv_weights_.size());
 
-  MinuetMapConfig map_cfg;
-  map_cfg.source_block_size = config_.map_source_block;
-  map_cfg.query_block_size = config_.map_query_block;
-  MinuetMapBuilder builder(map_cfg);
-
   for (const PointCloud& sample : samples) {
-    // Trace the coordinate flow of the network on the sample and profile
-    // every non-trivial conv layer's Gather and Scatter tiles (Algorithm 2).
-    auto root = std::make_shared<CoordLevel>();
-    root->tensor_stride = 1;
-    root->keys = PackCoords(sample.coords);
-    std::sort(root->keys.begin(), root->keys.end());
-    root->coords.reserve(root->keys.size());
-    for (uint64_t k : root->keys) {
-      root->coords.push_back(UnpackCoord(k));
-    }
-
-    LevelPtr level = root;
-    int conv_index = 0;
+    // Walk the network's coordinate flow on the sample and profile every
+    // non-trivial conv layer's Gather and Scatter tiles (Algorithm 2). Nothing
+    // here charges the coordinate dedup kernels.
+    LevelPtr level = MakeLevel(1, nullptr, [&] {
+      std::vector<uint64_t> keys = PackCoords(sample.coords);
+      std::sort(keys.begin(), keys.end());
+      return keys;
+    });
+    size_t conv_index = 0;
     for (const Instr& instr : network_.instrs) {
-      // Pooling reshapes the coordinate flow but has no tiles to tune.
-      if ((instr.op == Instr::Op::kMaxPool || instr.op == Instr::Op::kAvgPool) &&
-          instr.conv.stride > 1) {
-        auto pooled = std::make_shared<CoordLevel>();
-        pooled->tensor_stride = level->tensor_stride * instr.conv.stride;
-        pooled->coords = DownsampleCoords(level->coords, pooled->tensor_stride);
-        pooled->keys = PackCoords(pooled->coords);
-        pooled->parent = level;
-        level = pooled;
+      if (instr.op == Instr::Op::kMaxPool || instr.op == Instr::Op::kAvgPool) {
+        // Pooling reshapes the coordinate flow but has no tiles to tune.
+        level = ResolveLayerCoords(level, instr.conv).out;
         continue;
       }
       if (instr.op != Instr::Op::kConv) {
         continue;
       }
       const ConvParams& conv = instr.conv;
-      if (conv.kernel_size == 1 && conv.stride == 1 && !conv.transposed) {
-        ++conv_index;  // 1x1 convs are plain GEMMs; no tiles to tune
-        continue;
+      const size_t layer = conv_index++;
+      if (IsPointwise(conv)) {
+        continue;  // a plain GEMM; no tiles to tune
       }
-      LevelPtr out_level;
-      std::vector<Coord3> offsets =
-          MakeWeightOffsets(conv.kernel_size,
-                            conv.transposed ? level->tensor_stride / conv.stride
-                                            : level->tensor_stride);
-      std::vector<Coord3> query_offsets = offsets;
-      if (conv.transposed) {
-        MINUET_CHECK(level->parent != nullptr) << "transposed conv without a parent level";
-        out_level = level->parent;
-        for (Coord3& d : query_offsets) {
-          d = Coord3{-d.x, -d.y, -d.z};
-        }
-      } else if (conv.generative) {
-        out_level = std::make_shared<CoordLevel>();
-        out_level->tensor_stride = level->tensor_stride;
-        out_level->coords = DilateCoords(level->coords, offsets);
-        out_level->keys = PackCoords(out_level->coords);
-        out_level->parent = level;
-      } else if (conv.stride > 1) {
-        out_level = std::make_shared<CoordLevel>();
-        out_level->tensor_stride = level->tensor_stride * conv.stride;
-        out_level->coords = DownsampleCoords(level->coords, out_level->tensor_stride);
-        out_level->keys = PackCoords(out_level->coords);
-        out_level->parent = level;
-      } else {
-        out_level = level;
-      }
-
-      MapBuildInput in;
-      in.source_keys = level->keys;
-      in.output_keys = out_level->keys;
-      in.offsets = query_offsets;
-      in.source_sorted = true;
-      in.output_sorted = true;
-      MapBuildResult map = builder.Build(scratch, in);
-      KernelMap kernel_map = CompactPositionTable(map.table, query_offsets);
-      GroupingPlan plan =
-          PlanGemmGroups(kernel_map.EntryCounts(), GroupingStrategy::kSortedOrder,
-                         config_.padding_threshold);
+      LayerCoords coords = ResolveLayerCoords(level, conv);
+      MapBuildResult map =
+          BuildLayerMap(scratch, config_, *level, *coords.out, coords.query_offsets);
+      KernelMap kernel_map = CompactPositionTable(map.table, coords.query_offsets);
+      GroupingPlan plan = PlanGemmGroups(kernel_map.EntryCounts(), GroupingStrategy::kSortedOrder,
+                                         config_.padding_threshold);
       MetadataTables tables = BuildMetadataTables(scratch, kernel_map, plan, level->size(),
-                                                  out_level->size(), nullptr);
+                                                  coords.out->size(), nullptr);
       AutotuneOutcome gather = AutotuneGatherTile(scratch, tables, conv.c_in);
       AutotuneOutcome scatter = AutotuneScatterTile(scratch, tables, conv.c_out);
       for (const auto& [tile, cycles] : gather.profile) {
-        gather_profiles[static_cast<size_t>(conv_index)][tile] += cycles;
+        gather_profiles[layer][tile] += cycles;
       }
       for (const auto& [tile, cycles] : scatter.profile) {
-        scatter_profiles[static_cast<size_t>(conv_index)][tile] += cycles;
+        scatter_profiles[layer][tile] += cycles;
       }
-      ++conv_index;
-      level = out_level;
+      level = coords.out;
     }
   }
 
@@ -494,7 +515,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
 
   const bool functional = config_.functional;
   const bool is_minuet = config_.kind == EngineKind::kMinuet;
-  const bool use_sorted_map = is_minuet && config_.features.segmented_sorting;
+  const bool use_sorted_map = UsesSortedMap(config_);
 
   WorkspacePool* pool = ctx != nullptr ? ctx->pool : nullptr;
   ExecutionPlan* plan_record = ctx != nullptr ? ctx->record : nullptr;
@@ -578,10 +599,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
         plan_record->root = act.level;
       }
     } else {
-      act.level = std::make_shared<CoordLevel>();
-      act.level->tensor_stride = 1;
-      act.level->coords = std::move(sorted.coords);
-      act.level->keys = PackCoords(act.level->coords);
+      act.level = MakeLevel(1, nullptr, [&] { return std::move(sorted.coords); });
       if (plan_record != nullptr) {
         plan_record->root = act.level;
       }
@@ -592,15 +610,6 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
   std::vector<Activation> slots(static_cast<size_t>(network_.NumSlots()));
   int conv_index = 0;
   size_t linear_index = 0;
-
-  // Map builders are stateless; construct once.
-  MinuetMapConfig map_cfg;
-  map_cfg.source_block_size = config_.map_source_block;
-  map_cfg.query_block_size = config_.map_query_block;
-  map_cfg.double_traversal = config_.features.double_traversal;
-  MinuetMapBuilder minuet_builder(map_cfg);
-  HashMapBuilder cuckoo_builder(HashTableKind::kCuckoo);
-  HashMapBuilder linear_builder(HashTableKind::kLinearProbe);
 
   for (const Instr& instr : network_.instrs) {
     switch (instr.op) {
@@ -621,7 +630,7 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
         }
         double layer_overlap_saved = 0.0;
 
-        if (conv.kernel_size == 1 && conv.stride == 1 && !conv.transposed) {
+        if (IsPointwise(conv)) {
           // 1x1 stride-1 conv == one GEMM over the feature matrix.
           trace::Span span("engine/conv1x1", "step");
           FeatureMatrix out = new_matrix(target->features.rows(), conv.c_out);
@@ -662,74 +671,22 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
             out_level = cached->out_level;
             kernel_map = cached->kernel_map.get();
           } else {
-            // Resolve the output coordinate level. Check the parent before
-            // deriving offsets: a transposed conv with no encoder level would
-            // otherwise die on tensor_stride / stride == 0 with an unrelated
-            // message.
-            if (conv.transposed) {
-              MINUET_CHECK(target->level->parent != nullptr)
-                  << "transposed conv without a matching encoder level";
-            }
-            std::vector<Coord3> offsets = MakeWeightOffsets(
-                conv.kernel_size, conv.transposed ? target->level->tensor_stride / conv.stride
-                                                  : target->level->tensor_stride);
-            std::vector<Coord3> query_offsets = offsets;
-            if (conv.transposed) {
-              out_level = target->level->parent;
-              // Transposed map: entry (p, q, d) when q = p + d, i.e. the normal
-              // builder with mirrored offsets; rows keep the weight order.
-              for (Coord3& d : query_offsets) {
-                d = Coord3{-d.x, -d.y, -d.z};
-              }
-            } else if (conv.generative) {
-              MINUET_CHECK_EQ(conv.stride, 1) << "generative convs must have stride 1";
-              out_level = std::make_shared<CoordLevel>();
-              out_level->tensor_stride = target->level->tensor_stride;
-              out_level->coords = DilateCoords(target->level->coords, offsets);
-              out_level->keys = PackCoords(out_level->coords);
-              out_level->parent = target->level;
-              // Coordinate generation: K^3 |P| candidates deduplicated.
-              trace::Span span("engine/coords_dedup", "step");
-              AccumulateKernel(layer, &StepBreakdown::map_build,
-                               ChargeDilationDedup(dev, target->level->keys, offsets.size(),
-                                                   out_level->size(), use_sorted_map));
-            } else if (conv.stride > 1) {
-              out_level = std::make_shared<CoordLevel>();
-              out_level->tensor_stride = target->level->tensor_stride * conv.stride;
-              out_level->coords =
-                  DownsampleCoords(target->level->coords, out_level->tensor_stride);
-              out_level->keys = PackCoords(out_level->coords);
-              out_level->parent = target->level;
+            LayerCoords coords = ResolveLayerCoords(target->level, conv);
+            out_level = coords.out;
+            if (coords.gen != CoordGen::kReuse) {
               // Output-coordinate generation must deduplicate (Eq. 1).
               trace::Span span("engine/coords_dedup", "step");
               AccumulateKernel(layer, &StepBreakdown::map_build,
-                               ChargeDownsampleDedup(dev, target->level->keys,
-                                                     out_level->tensor_stride, out_level->size(),
-                                                     use_sorted_map));
-            } else {
-              out_level = target->level;
+                               ChargeCoordDedup(dev, *target->level, coords, use_sorted_map));
             }
 
             // --- Map step.
             trace::Span map_span("engine/map", "step");
-            MapBuildInput map_in;
-            map_in.source_keys = target->level->keys;
-            map_in.output_keys = out_level->keys;
-            map_in.offsets = query_offsets;
-            map_in.source_sorted = true;
-            map_in.output_sorted = true;
-            MapBuilderBase* map_builder;
-            if (use_sorted_map) {
-              map_builder = &minuet_builder;
-            } else if (config_.kind == EngineKind::kMinkowski) {
-              map_builder = &linear_builder;
-            } else {
-              map_builder = &cuckoo_builder;
-            }
-            MapBuildResult map = map_builder->Build(dev, map_in);
+            MapBuildResult map = BuildLayerMap(dev, config_, *target->level, *out_level,
+                                               coords.query_offsets);
             AccumulateKernel(layer, &StepBreakdown::map_build, map.build_stats);
             AccumulateKernel(layer, &StepBreakdown::map_query, map.query_stats);
-            built_map = CompactPositionTable(map.table, query_offsets);
+            built_map = CompactPositionTable(map.table, coords.query_offsets);
             AccumulateKernel(layer, &StepBreakdown::map_query,
                              ChargeMapCompaction(dev, map.table, built_map.TotalEntries()));
             kernel_map = &built_map;
@@ -861,36 +818,11 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
           out_level = cached->out_level;
           table = cached->table.get();
         } else {
-          if (pool_params.stride > 1) {
-            out_level = std::make_shared<CoordLevel>();
-            out_level->tensor_stride = act.level->tensor_stride * pool_params.stride;
-            out_level->coords = DownsampleCoords(act.level->coords, out_level->tensor_stride);
-            out_level->keys = PackCoords(out_level->coords);
-            out_level->parent = act.level;
-            AccumulateKernel(result.total, &StepBreakdown::map_build,
-                             ChargeDownsampleDedup(dev, act.level->keys,
-                                                   out_level->tensor_stride, out_level->size(),
-                                                   use_sorted_map));
-          } else {
-            out_level = act.level;
-          }
-          std::vector<Coord3> offsets =
-              MakeWeightOffsets(pool_params.kernel_size, act.level->tensor_stride);
-          MapBuildInput map_in;
-          map_in.source_keys = act.level->keys;
-          map_in.output_keys = out_level->keys;
-          map_in.offsets = offsets;
-          map_in.source_sorted = true;
-          map_in.output_sorted = true;
-          MapBuilderBase* map_builder;
-          if (use_sorted_map) {
-            map_builder = &minuet_builder;
-          } else if (config_.kind == EngineKind::kMinkowski) {
-            map_builder = &linear_builder;
-          } else {
-            map_builder = &cuckoo_builder;
-          }
-          map = map_builder->Build(dev, map_in);
+          LayerCoords coords = ResolveLayerCoords(act.level, pool_params);
+          out_level = coords.out;
+          AccumulateKernel(result.total, &StepBreakdown::map_build,
+                           ChargeCoordDedup(dev, *act.level, coords, use_sorted_map));
+          map = BuildLayerMap(dev, config_, *act.level, *out_level, coords.query_offsets);
           AccumulateKernel(result.total, &StepBreakdown::map_build, map.build_stats);
           AccumulateKernel(result.total, &StepBreakdown::map_query, map.query_stats);
           table = &map.table;
@@ -964,11 +896,8 @@ RunResult Engine::RunImpl(const PointCloud& input, SessionCtx* ctx) {
                          GlobalAvgPool(dev, act.features, pooled, functional));
         recycle(act.features);
         act.features = std::move(pooled);
-        auto pooled_level = std::make_shared<CoordLevel>();
-        pooled_level->tensor_stride = act.level->tensor_stride;
-        pooled_level->coords = {Coord3{0, 0, 0}};
-        pooled_level->keys = {PackCoord(Coord3{0, 0, 0})};
-        act.level = pooled_level;
+        act.level = MakeLevel(act.level->tensor_stride, nullptr,
+                              [] { return std::vector<Coord3>{Coord3{0, 0, 0}}; });
         break;
       }
       case Instr::Op::kLinear: {

@@ -231,7 +231,6 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
   std::vector<SessionStats> session_base;
   session_base.reserve(replicas_.size());
   for (auto& replica : replicas_) {
-    replica->busy_us_ = 0.0;
     replica->batches_since_drain_ = 0;
     session_base.push_back(replica->session().stats());
   }
@@ -540,14 +539,7 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       member_cycles.push_back(record.service_cycles);
       // Kernel-span linkage for the blame profiler: the engine's per-step
       // cycle breakdown, bucketed into the PhaseTrace execution phases.
-      ExecPhaseCycles exec;
-      exec.map = run.total.MapCycles();
-      exec.map_delta = run.total.map_delta;
-      exec.gather = run.total.gather;
-      exec.gemm = run.total.gemm;
-      exec.scatter = run.total.scatter;
-      exec.other = run.total.metadata + run.total.elementwise;
-      member_exec.push_back(exec);
+      member_exec.push_back(ExecPhasesOf(run.total));
       replica.flight_.push_back(record);
     }
 
@@ -566,7 +558,6 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
     replica.flight_end_us_ = now_us + service_us;
     replica.flight_batch_ = batch_id;
     batch.completion_us = replica.flight_end_us_;  // provisional; rewritten on completion
-    replica.busy_us_ += service_us;
     batches.push_back(batch);
 
     // Finalise each member's phase trace now: the deterministic clock already
@@ -660,7 +651,6 @@ FleetResult FleetScheduler::RunLoop(std::vector<Request> arrivals, const TraceCo
       }
     }
     dev.summary = Summarize(dev_requests, dev_batches, cfg);
-    dev.summary.server_busy_us = replica.busy_us_;
     const SessionStats stats = replica.session().stats();
     dev.plan_hits = stats.plan.hits - session_base[k].plan.hits;
     dev.plan_misses = stats.plan.misses - session_base[k].plan.misses;

@@ -165,7 +165,6 @@ class Replica {
   double flight_end_us_ = 0.0;
   int64_t flight_batch_ = -1;  // index into the run's batch records
   std::vector<RequestRecord> flight_;
-  double busy_us_ = 0.0;
   int64_t batches_since_drain_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/engine/engine.h"
 #include "src/serve/request.h"
 #include "src/util/check.h"
 #include "src/util/json_writer.h"
@@ -14,6 +15,17 @@ namespace serve {
 int64_t Ns(double serve_us) {
   MINUET_CHECK(std::isfinite(serve_us));
   return std::llround(serve_us * 1000.0);
+}
+
+ExecPhaseCycles ExecPhasesOf(const StepBreakdown& cycles) {
+  ExecPhaseCycles exec;
+  exec.map = cycles.MapCycles();
+  exec.map_delta = cycles.map_delta;
+  exec.gather = cycles.gather;
+  exec.gemm = cycles.gemm;
+  exec.scatter = cycles.scatter;
+  exec.other = cycles.metadata + cycles.elementwise;
+  return exec;
 }
 
 void ReqTraceRecorder::Reset(int num_devices) {

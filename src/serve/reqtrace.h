@@ -66,6 +66,9 @@
 #include <vector>
 
 namespace minuet {
+
+struct StepBreakdown;
+
 namespace serve {
 
 struct RequestRecord;
@@ -88,6 +91,9 @@ struct ExecPhaseCycles {
   double other = 0.0;
   double Total() const { return map + map_delta + gather + gemm + scatter + other; }
 };
+
+// The phase buckets of one run's cycle breakdown.
+ExecPhaseCycles ExecPhasesOf(const StepBreakdown& cycles);
 
 struct PhaseTrace {
   // The ten segments (sum == e2e_ns exactly; see file comment).

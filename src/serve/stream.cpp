@@ -41,7 +41,6 @@ struct ReplicaState {
   int64_t flight_batch = -1;
   int64_t flight_stream = -1;
   RequestRecord flight_record;
-  double busy_us = 0.0;
   int64_t frames_since_drain = 0;
 };
 
@@ -252,18 +251,10 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
     replica.flight_end_us = now_us + service_us;
     replica.flight_batch = record.batch_id;
     replica.flight_stream = head.stream;
-    replica.busy_us += service_us;
 
-    ExecPhaseCycles exec;
-    exec.map = fr.run.total.MapCycles();
-    exec.map_delta = fr.run.total.map_delta;
-    exec.gather = fr.run.total.gather;
-    exec.gemm = fr.run.total.gemm;
-    exec.scatter = fr.run.total.scatter;
-    exec.other = fr.run.total.metadata + fr.run.total.elementwise;
     record.trace = reqtrace.FinalizeRequest(dispatch_dev, request.id, head.arrival_us,
                                             now_us, replica.flight_end_us, service_us,
-                                            exec);
+                                            ExecPhasesOf(fr.run.total));
     reqtrace.BeginBatch(dispatch_dev, now_us);
 
     BatchRecord batch;
@@ -320,13 +311,8 @@ StreamServeResult StreamScheduler::Run(const Sequence& sequence) {
 
   StreamServeSummary& summary = result.summary;
   summary.serve = Summarize(result.requests, result.batches, scfg);
-  double busy_us = 0.0;
-  for (const ReplicaState& replica : replicas) {
-    busy_us += replica.busy_us;
-  }
-  summary.serve.server_busy_us = busy_us;
-  summary.serve.utilization =
-      SafeDiv(busy_us, static_cast<double>(num_devices) * summary.serve.duration_us);
+  summary.serve.utilization = SafeDiv(summary.serve.server_busy_us,
+                                      static_cast<double>(num_devices) * summary.serve.duration_us);
   for (size_t s = 0; s < stream_summaries.size(); ++s) {
     StreamSummary& stream = stream_summaries[s];
     stream.latency_p50_us = Percentile(stream_latency[s], 50.0);

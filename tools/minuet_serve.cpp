@@ -369,6 +369,28 @@ std::vector<std::string> SplitCommaList(const std::string& list) {
   return parts;
 }
 
+// Every serving replica runs timing-only with the CLI's engine and precision.
+EngineConfig ServingEngineConfig(const Options& opts) {
+  EngineConfig config;
+  config.kind = ParseEngine(opts.engine);
+  config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
+  config.functional = false;  // serving measures time; skip the arithmetic
+  return config;
+}
+
+// Prepares a serving replica; under --autotune 1 it is tuned on a 2000-point
+// random sample.
+void PrepareServingEngine(Engine& engine, const Options& opts, const Network& net) {
+  engine.Prepare(net, opts.arrival.seed);
+  if (opts.autotune && engine.config().kind == EngineKind::kMinuet) {
+    GeneratorConfig gen;
+    gen.target_points = 2000;
+    gen.channels = net.in_channels;
+    gen.seed = opts.arrival.seed + 1;
+    engine.Autotune(GenerateCloud(DatasetKind::kRandom, gen));
+  }
+}
+
 int FleetMain(Options opts) {
   const std::vector<std::string> presets = SplitCommaList(opts.pool);
   if (presets.empty()) {
@@ -377,11 +399,7 @@ int FleetMain(Options opts) {
   }
 
   Network net = ParseNetwork(opts.network);
-  EngineConfig config;
-  config.kind = ParseEngine(opts.engine);
-  config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
-  config.functional = false;  // serving measures time; skip the arithmetic
-
+  const EngineConfig config = ServingEngineConfig(opts);
   std::vector<DeviceConfig> devices;
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<Engine*> engine_ptrs;
@@ -390,15 +408,7 @@ int FleetMain(Options opts) {
     device.deterministic_addressing = true;  // byte-stable fleet reports
     devices.push_back(device);
     engines.push_back(std::make_unique<Engine>(config, devices.back()));
-    engines.back()->Prepare(net, opts.arrival.seed);
-    if (opts.autotune && config.kind == EngineKind::kMinuet) {
-      GeneratorConfig gen;
-      gen.target_points = 2000;
-      gen.channels = net.in_channels;
-      gen.seed = opts.arrival.seed + 1;
-      PointCloud sample = GenerateCloud(DatasetKind::kRandom, gen);
-      engines.back()->Autotune(sample);
-    }
+    PrepareServingEngine(*engines.back(), opts, net);
     engine_ptrs.push_back(engines.back().get());
   }
 
@@ -521,16 +531,12 @@ int StreamMain(Options opts) {
 
   Network net = ParseNetwork(opts.network);
   if (net.in_channels != sequence.config.channels) {
-    std::fprintf(stderr, "network %s expects %d input channels; sequence has %lld\n",
-                 net.name.c_str(), net.in_channels,
+    std::fprintf(stderr, "network %s expects %lld input channels; sequence has %lld\n",
+                 net.name.c_str(), static_cast<long long>(net.in_channels),
                  static_cast<long long>(sequence.config.channels));
     return 2;
   }
-  EngineConfig config;
-  config.kind = EngineKind::kMinuet;
-  config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
-  config.functional = false;  // serving measures time; skip the arithmetic
-
+  const EngineConfig config = ServingEngineConfig(opts);  // Minuet, checked above
   std::vector<DeviceConfig> devices;
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<Engine*> engine_ptrs;
@@ -658,21 +664,9 @@ int Main(int argc, char** argv) {
   // model off the allocator's addresses (see DeviceConfig).
   device.deterministic_addressing = true;
   Network net = ParseNetwork(opts.network);
-
-  EngineConfig config;
-  config.kind = ParseEngine(opts.engine);
-  config.precision = opts.fp16 ? Precision::kFp16 : Precision::kFp32;
-  config.functional = false;  // serving measures time; skip the arithmetic
+  const EngineConfig config = ServingEngineConfig(opts);
   Engine engine(config, device);
-  engine.Prepare(net, opts.arrival.seed);
-  if (opts.autotune && config.kind == EngineKind::kMinuet) {
-    GeneratorConfig gen;
-    gen.target_points = 2000;
-    gen.channels = net.in_channels;
-    gen.seed = opts.arrival.seed + 1;
-    PointCloud sample = GenerateCloud(DatasetKind::kRandom, gen);
-    engine.Autotune(sample);
-  }
+  PrepareServingEngine(engine, opts, net);
 
   trace::Tracer tracer;
   if (!opts.trace_json.empty()) {

@@ -1,6 +1,8 @@
 #include "src/gpusim/cache_sim.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "src/util/check.h"
 
@@ -19,42 +21,47 @@ CacheSim::CacheSim(size_t capacity_bytes, int ways, int line_bytes)
   if (std::has_single_bit(num_sets_)) {
     set_mask_ = num_sets_ - 1;
   }
-  ways_storage_.assign(num_sets_ * static_cast<size_t>(ways_), Way{});
+  // Reserving three tags per way keeps the set storage one heap allocation
+  // of the size it had when each way was a 24-byte {tag, stamp, valid}
+  // record: deterministic addressing numbers granules in host first-touch
+  // order, so a different malloc request size shifts simulated statistics
+  // (ROADMAP item 3). Only the first third is ever touched.
+  const size_t slots = num_sets_ * static_cast<size_t>(ways_);
+  tags_.reserve(3 * slots);
+  tags_.assign(slots, kEmpty);
 }
 
 bool CacheSim::AccessLine(uint64_t line) {
+  MINUET_DCHECK(line != kEmpty);
   // Cheap tag-bit mix so that allocator-aligned structures do not all land in
   // set 0; sets need not be a power of two (power-of-two counts take the
   // equivalent mask path, skipping the modulo).
   uint64_t mixed = line * 0x9e3779b97f4a7c15ULL;
   size_t set = set_mask_ != 0 ? static_cast<size_t>(mixed & set_mask_)
                               : static_cast<size_t>(mixed % num_sets_);
-  Way* base = &ways_storage_[set * static_cast<size_t>(ways_)];
-  ++clock_;
+  uint64_t* base = tags_.data() + set * static_cast<size_t>(ways_);
 
-  int victim = 0;
-  uint64_t oldest = UINT64_MAX;
-  for (int w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == line) {
-      base[w].stamp = clock_;
-      ++hits_;
-      return true;
-    }
-    uint64_t stamp = base[w].valid ? base[w].stamp : 0;
-    if (stamp < oldest) {
-      oldest = stamp;
-      victim = w;
-    }
+  // The set is in MRU order, so both outcomes move `line` to the front: a hit
+  // at way w shifts ways [0, w) back by one, a miss shifts the whole set and
+  // drops the last way (an empty one if any, else the LRU line).
+  int w = 0;
+  while (w < ways_ && base[w] != line) {
+    ++w;
   }
-  base[victim] = Way{line, clock_, true};
-  ++misses_;
-  return false;
+  const bool hit = w < ways_;
+  const int shifted = hit ? w : ways_ - 1;
+  std::memmove(base + 1, base, static_cast<size_t>(shifted) * sizeof(uint64_t));
+  base[0] = line;
+  if (hit) {
+    ++hits_;
+  } else {
+    ++misses_;
+  }
+  return hit;
 }
 
 void CacheSim::Flush() {
-  for (Way& w : ways_storage_) {
-    w = Way{};
-  }
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
   ResetCounters();
 }
 

@@ -1,7 +1,9 @@
 // Set-associative LRU cache simulator used as the device's L2.
 //
-// Addresses are host pointers cast to integers: the mapping from data to sets
-// is as arbitrary as a real allocator's, and only hit/miss behaviour matters.
+// Lines are opaque 64-bit ids: host addresses shifted by the line size in raw
+// mode, first-touch granule ids (GranuleTable) in deterministic mode. Either
+// way the mapping from data to sets is as arbitrary as a real allocator's,
+// and only hit/miss behaviour matters.
 #ifndef SRC_GPUSIM_CACHE_SIM_H_
 #define SRC_GPUSIM_CACHE_SIM_H_
 
@@ -22,7 +24,9 @@ class CacheSim {
   // Touches line `line` (= addr >> log2(line_bytes)) directly. The device's
   // access loops already hold line numbers — deterministic mode derives them
   // from remapped granule ids — so this skips the round trip through a byte
-  // address. Identical hit/miss behaviour to Access().
+  // address. Identical hit/miss behaviour to Access(). `line` must not be
+  // UINT64_MAX, the empty-way sentinel (no shifted address or granule id can
+  // reach it).
   bool AccessLine(uint64_t line);
 
   // Drops all cached lines and resets hit/miss counters.
@@ -38,11 +42,8 @@ class CacheSim {
   int ways() const { return ways_; }
 
  private:
-  struct Way {
-    uint64_t tag = 0;
-    uint64_t stamp = 0;
-    bool valid = false;
-  };
+  // Tag of a way that holds no line.
+  static constexpr uint64_t kEmpty = UINT64_MAX;
 
   size_t num_sets_;
   // num_sets_ - 1 when the set count is a power of two, else 0. The mixed
@@ -53,8 +54,16 @@ class CacheSim {
   int ways_;
   int line_bytes_;
   int line_shift_;
-  std::vector<Way> ways_storage_;  // num_sets_ x ways_, row-major
-  uint64_t clock_ = 0;
+  // num_sets_ x ways_ line tags, row-major. Each set is kept in
+  // most-recently-used order, empty ways (kEmpty) at its tail, so the last
+  // way is always the victim: an empty way while one exists, else the LRU
+  // line. This is exactly stamp-based LRU without the stamps.
+  std::vector<uint64_t> tags_;
+  // Unused. Keeps sizeof(CacheSim) — and with it sizeof(Device) — what it was
+  // when LRU kept a clock here: deterministic addressing numbers granules in
+  // host first-touch order, so a different malloc request size shifts
+  // simulated statistics (ROADMAP item 3).
+  [[maybe_unused]] uint64_t layout_pin_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <utility>
 
 #include "src/util/json_writer.h"
 
@@ -197,6 +198,8 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
   out->source = "trace";
 
   std::map<std::string, TraceKernelAccum> kernels;
+  // Layer spans keyed by conv_index, with the number of runs that hit each.
+  std::map<int64_t, std::pair<LayerProfile, int>> layers;
   for (const JsonValue& event : events->AsArray()) {
     if (!event.is_object()) {
       continue;
@@ -267,16 +270,23 @@ bool LoadFromTrace(const JsonValue& doc, RunProfile* out, std::string* error) {
         acc.roofline_dur[roofline] += dur;
       }
     } else if (cat == "layer") {
-      LayerProfile layer;
-      layer.conv_index = static_cast<int64_t>(arg_num("conv_index", 0.0));
-      layer.sim_ms = dur / 1e3;
-      layer.padding_ratio = arg_num("padding_ratio", 0.0);
-      layer.launches = arg_num("launches", 0.0);
-      layer.gemm_kernels = arg_num("gemm_kernels", 0.0);
-      out->layers.push_back(layer);
+      const auto conv_index = static_cast<int64_t>(arg_num("conv_index", 0.0));
+      auto& [layer, runs] = layers[conv_index];
+      layer.conv_index = conv_index;
+      layer.sim_ms += dur / 1e3;
+      layer.padding_ratio += arg_num("padding_ratio", 0.0);
+      layer.launches += arg_num("launches", 0.0);
+      layer.gemm_kernels += arg_num("gemm_kernels", 0.0);
+      ++runs;
     } else if (cat == "run") {
       out->total_ms += dur / 1e3;
     }
+  }
+
+  for (auto& [conv_index, entry] : layers) {
+    auto& [layer, runs] = entry;
+    layer.padding_ratio /= runs;
+    out->layers.push_back(layer);
   }
 
   double kernel_ms_sum = 0.0;

@@ -44,6 +44,10 @@ struct KernelProfile {
   std::string roofline;  // launch_bound | compute_bound | dram_bound | l2_bound
 };
 
+// One conv layer. A trace holding several runs (`--repeat N`) folds them
+// into one entry per conv_index: sim_ms, launches and gemm_kernels are
+// summed over the runs and padding_ratio is their mean, so %run is taken
+// against the trace's summed run total.
 struct LayerProfile {
   int64_t conv_index = 0;
   double sim_ms = 0.0;

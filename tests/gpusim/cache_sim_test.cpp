@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -10,8 +11,9 @@ namespace {
 
 // Straight-line reference for the golden-sequence tests below: the documented
 // model (multiplicative tag mix, modulo set selection, LRU by stamp) with no
-// fast paths. CacheSim's power-of-two mask path must reproduce its hit/miss
-// decisions access for access.
+// fast paths. CacheSim (MRU-ordered tag-only sets, power-of-two mask path)
+// must reproduce its hit/miss decisions access for access. This is the only
+// copy of the stamp algorithm.
 class ReferenceLru {
  public:
   ReferenceLru(size_t capacity_bytes, int ways, int line_bytes)
@@ -20,7 +22,10 @@ class ReferenceLru {
         ways_(ways),
         storage_(num_sets_ * static_cast<size_t>(ways)) {}
 
-  bool AccessLine(uint64_t line) {
+  // Returns true on hit. On a hit, *depth (if given) receives the line's LRU
+  // rank in its set: 0 for the most recently used line, ways - 1 for the
+  // least. Misses leave it untouched.
+  bool AccessLine(uint64_t line, int* depth = nullptr) {
     const size_t set =
         static_cast<size_t>((line * 0x9e3779b97f4a7c15ULL) % num_sets_);
     Way* base = &storage_[set * static_cast<size_t>(ways_)];
@@ -29,7 +34,14 @@ class ReferenceLru {
     uint64_t oldest = UINT64_MAX;
     for (int w = 0; w < ways_; ++w) {
       if (base[w].valid && base[w].tag == line) {
+        if (depth != nullptr) {
+          *depth = 0;
+          for (int o = 0; o < ways_; ++o) {
+            *depth += base[o].valid && base[o].stamp > base[w].stamp ? 1 : 0;
+          }
+        }
         base[w].stamp = clock_;
+        ++hits_;
         return true;
       }
       const uint64_t stamp = base[w].valid ? base[w].stamp : 0;
@@ -39,8 +51,20 @@ class ReferenceLru {
       }
     }
     base[victim] = Way{line, clock_, true};
+    ++misses_;
     return false;
   }
+
+  void Flush() {
+    std::fill(storage_.begin(), storage_.end(), Way{});
+    ResetCounters();
+  }
+  void ResetCounters() {
+    hits_ = 0;
+    misses_ = 0;
+  }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
 
  private:
   struct Way {
@@ -52,7 +76,21 @@ class ReferenceLru {
   int ways_;
   std::vector<Way> storage_;
   uint64_t clock_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
+
+// Replays `lines` through both models, asserting every decision and, at the
+// end, the counters agree.
+void ExpectSameDecisions(CacheSim& cache, ReferenceLru& ref,
+                         const std::vector<uint64_t>& lines) {
+  for (size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_EQ(cache.AccessLine(lines[i]), ref.AccessLine(lines[i]))
+        << "diverged at access " << i << " (line " << lines[i] << ")";
+  }
+  EXPECT_EQ(cache.hits(), ref.hits());
+  EXPECT_EQ(cache.misses(), ref.misses());
+}
 
 // A deterministic access recording: pseudorandom line touches with enough
 // locality (a small working window revisited between jumps) that both hits
@@ -154,10 +192,7 @@ TEST(CacheSimTest, MaskFastPathMatchesModuloReferenceSequence) {
   ASSERT_EQ(cache.num_sets(), 2048u);
   ReferenceLru ref(4 << 20, 16, 128);
   const std::vector<uint64_t> lines = RecordedLineSequence(200000, 100000);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    ASSERT_EQ(cache.AccessLine(lines[i]), ref.AccessLine(lines[i]))
-        << "diverged at access " << i << " (line " << lines[i] << ")";
-  }
+  ExpectSameDecisions(cache, ref, lines);
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_GT(cache.misses(), 0u);
 }
@@ -169,12 +204,112 @@ TEST(CacheSimTest, ModuloPathMatchesReferenceSequence) {
   ASSERT_EQ(cache.num_sets(), 3072u);
   ReferenceLru ref(6 << 20, 16, 128);
   const std::vector<uint64_t> lines = RecordedLineSequence(200000, 150000);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    ASSERT_EQ(cache.AccessLine(lines[i]), ref.AccessLine(lines[i]))
-        << "diverged at access " << i << " (line " << lines[i] << ")";
-  }
+  ExpectSameDecisions(cache, ref, lines);
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_GT(cache.misses(), 0u);
+}
+
+TEST(CacheSimTest, A100GeometryMatchesReferenceSequence) {
+  // The A100 preset's 40 MiB / 16 ways / 128 B lines = 20480 sets is not a
+  // power of two either, so it takes the modulo path too.
+  CacheSim cache(40 << 20, 16, 128);
+  ASSERT_EQ(cache.num_sets(), 20480u);
+  ReferenceLru ref(40 << 20, 16, 128);
+  ExpectSameDecisions(cache, ref, RecordedLineSequence(600000, 2000000));
+  EXPECT_GT(cache.hits(), 0u);
+  // More misses than ways in the whole cache: sets fill and evict.
+  EXPECT_GT(cache.misses(), 20480u * 16u);
+}
+
+TEST(CacheSimTest, LowAssociativityMatchesReferenceSequence) {
+  // Direct-mapped and 2/4-way sets exercise the shortest shifts: a 1-way
+  // miss moves nothing, and every 1-way hit is at way 0.
+  for (int ways : {1, 2, 4}) {
+    SCOPED_TRACE(ways);
+    const size_t capacity = size_t{96} * static_cast<size_t>(ways) * 128;  // 96 sets
+    CacheSim cache(capacity, ways, 128);
+    ReferenceLru ref(capacity, ways, 128);
+    ExpectSameDecisions(cache, ref, RecordedLineSequence(100000, 3000));
+    EXPECT_GT(cache.hits(), 0u);
+    EXPECT_GT(cache.misses(), 0u);
+  }
+}
+
+TEST(CacheSimTest, HitsAtEveryReuseDepthMatchReference) {
+  // 4 sets x 16 ways over a pool of ~20 lines per set: per-set reuse depths
+  // spread over every way position, plus misses beyond the 16th. The
+  // reference reports each hit's LRU rank, so coverage is checked, not hoped
+  // for.
+  constexpr int kWays = 16;
+  constexpr size_t kCapacity = 4 * kWays * 128;
+  CacheSim cache(kCapacity, kWays, 128);
+  ReferenceLru ref(kCapacity, kWays, 128);
+  std::vector<uint64_t> depth_hits(kWays, 0);
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 200000; ++i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    const uint64_t line = state % 80;
+    int depth = -1;
+    const bool hit = ref.AccessLine(line, &depth);
+    ASSERT_EQ(cache.AccessLine(line), hit) << "diverged at access " << i;
+    if (hit) {
+      ++depth_hits[static_cast<size_t>(depth)];
+    }
+  }
+  for (int d = 0; d < kWays; ++d) {
+    EXPECT_GT(depth_hits[static_cast<size_t>(d)], 0u) << "no hit at depth " << d;
+  }
+  EXPECT_EQ(cache.hits(), ref.hits());
+  EXPECT_EQ(cache.misses(), ref.misses());
+  EXPECT_GT(cache.misses(), 0u);
+}
+
+TEST(CacheSimTest, LineZeroIsAnOrdinaryTag) {
+  // The stamp model needed a valid flag because a zeroed way's tag is 0;
+  // CacheSim's empty sentinel is UINT64_MAX instead, so line 0 must behave
+  // like any other line: miss on a cold cache, hit while resident, evicted
+  // like its set-mates.
+  CacheSim cache(256, 2, 128);  // 1 set x 2 ways: every line shares the set
+  ReferenceLru ref(256, 2, 128);
+  ExpectSameDecisions(cache, ref, {0, 0, 1, 0, 2, 1, 0, 0, 3, 4, 0});
+  EXPECT_EQ(cache.hits(), 3u);
+
+  CacheSim big(4 << 20, 16, 128);
+  ReferenceLru big_ref(4 << 20, 16, 128);
+  std::vector<uint64_t> lines = RecordedLineSequence(20000, 64);
+  for (size_t i = 0; i < lines.size(); i += 7) {
+    lines[i] = 0;
+  }
+  ExpectSameDecisions(big, big_ref, lines);
+}
+
+TEST(CacheSimTest, FlushAndResetCountersMidSequenceMatchReference) {
+  CacheSim cache(6 << 20, 16, 128);
+  ReferenceLru ref(6 << 20, 16, 128);
+  const std::vector<uint64_t> lines = RecordedLineSequence(90000, 150000);
+  const size_t third = lines.size() / 3;
+  const std::vector<uint64_t> a(lines.begin(), lines.begin() + third);
+  const std::vector<uint64_t> b(lines.begin() + third, lines.begin() + 2 * third);
+  const std::vector<uint64_t> c(lines.begin() + 2 * third, lines.end());
+
+  ExpectSameDecisions(cache, ref, a);
+  cache.ResetCounters();  // contents stay: b starts warm
+  ref.ResetCounters();
+  ExpectSameDecisions(cache, ref, b);
+  EXPECT_GT(cache.hits(), 0u);
+  cache.Flush();  // contents go: a replay of b starts cold
+  ref.Flush();
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  ExpectSameDecisions(cache, ref, b);
+  ExpectSameDecisions(cache, ref, c);
+}
+
+TEST(CacheSimDeathTest, EmptySentinelLineIsRejectedInDebugBuilds) {
+  CacheSim cache(1 << 16, 8, 128);
+  EXPECT_DEBUG_DEATH(cache.AccessLine(UINT64_MAX), "line != kEmpty");
 }
 
 TEST(CacheSimTest, ResetCountersKeepsContents) {

@@ -159,6 +159,54 @@ TEST(ProfileLoadTest, LoadsChromeTraceAndAggregatesLaunches) {
   EXPECT_NE(text.find("0.051"), std::string::npos) << text;  // 0.4 / 7.777
 }
 
+TEST(ProfileLoadTest, RepeatedRunsFoldIntoOneRowPerLayer) {
+  // Three runs of a two-layer network (`minuet_run --repeat 3`): the
+  // per-layer hot path lists each conv once, with simulated time and
+  // launches summed over the runs and %run against the summed run total.
+  std::string events;
+  for (int run = 0; run < 3; ++run) {
+    const int ts = run * 1000;
+    events += R"({"name": "run", "cat": "run", "ph": "X", "pid": 1, "tid": 1, "ts": )" +
+              std::to_string(ts) + R"(, "dur": 1000, "args": {}},)";
+    events += R"({"name": "conv0", "cat": "layer", "ph": "X", "pid": 1, "tid": 1, "ts": )" +
+              std::to_string(ts) + R"(, "dur": 600, "args": {"conv_index": 0,
+              "padding_ratio": )" + std::to_string(0.1 * (run + 1)) +
+              R"(, "launches": 5, "gemm_kernels": 2}},)";
+    events += R"({"name": "conv1", "cat": "layer", "ph": "X", "pid": 1, "tid": 1, "ts": )" +
+              std::to_string(ts + 600) + R"(, "dur": 400, "args": {"conv_index": 1,
+              "padding_ratio": 0.5, "launches": 3, "gemm_kernels": 1}},)";
+  }
+  events += R"({"name": "k/a", "cat": "kernel", "ph": "X", "pid": 1, "tid": 1, "ts": 0,
+              "dur": 3000, "args": {"cycles": 1}})";
+
+  RunProfile profile;
+  std::string error;
+  ASSERT_TRUE(LoadRunProfile(Parse(R"({"traceEvents": [)" + events + "]}"), &profile, &error))
+      << error;
+  EXPECT_DOUBLE_EQ(profile.total_ms, 3.0);
+  ASSERT_EQ(profile.layers.size(), 2u);
+  EXPECT_EQ(profile.layers[0].conv_index, 0);
+  EXPECT_DOUBLE_EQ(profile.layers[0].sim_ms, 1.8);
+  EXPECT_DOUBLE_EQ(profile.layers[0].launches, 15.0);
+  EXPECT_DOUBLE_EQ(profile.layers[0].gemm_kernels, 6.0);
+  EXPECT_NEAR(profile.layers[0].padding_ratio, 0.2, 1e-12);  // mean of 0.1, 0.2, 0.3
+  EXPECT_EQ(profile.layers[1].conv_index, 1);
+  EXPECT_DOUBLE_EQ(profile.layers[1].sim_ms, 1.2);
+  EXPECT_DOUBLE_EQ(profile.layers[1].launches, 9.0);
+
+  const std::string text = FormatReport(profile, 0);
+  const size_t hot_path = text.find("per-layer hot path:");
+  ASSERT_NE(hot_path, std::string::npos) << text;
+  const std::string table = text.substr(hot_path);
+  for (const char* conv : {"conv0 ", "conv1 "}) {
+    const size_t first = table.find(conv);
+    ASSERT_NE(first, std::string::npos) << table;
+    EXPECT_EQ(table.find(conv, first + 1), std::string::npos) << conv << " repeated:\n" << table;
+  }
+  EXPECT_NE(table.find("60.0"), std::string::npos) << table;  // conv0: 1.8 of 3.0 ms
+  EXPECT_NE(table.find("40.0"), std::string::npos) << table;  // conv1: 1.2 of 3.0 ms
+}
+
 TEST(ProfileLoadTest, MetricsSnapshotReportHasNoHostColumns) {
   // Metrics snapshots carry no host span durations, so the report must keep
   // its classic shape (the host view would be all zeros — noise).
